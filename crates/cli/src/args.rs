@@ -147,16 +147,16 @@ pub enum Command {
         /// Dataset JSON path.
         dataset: String,
     },
-    /// `mc3 serve [--addr HOST:PORT] [--workers N] [--cache-mb MB]
-    /// [--no-cache] [--solve-threads N]`
+    /// `mc3 serve [--addr HOST:PORT] [--workers N] [--solve-threads N]
+    /// [--cache-mb MB] [--no-cache]`
     Serve {
         /// Listen address.
         addr: String,
         /// Worker threads (0 = one per available core).
         workers: usize,
-        /// Solve-cache budget in MiB (0 disables caching).
+        /// Response-cache budget in MiB (0 disables caching).
         cache_mb: usize,
-        /// Disable the solve and request caches.
+        /// Disable the response cache.
         no_cache: bool,
         /// Shared solve-executor size (0 = one per available core).
         solve_threads: usize,
@@ -206,8 +206,9 @@ USAGE:
   mc3 parse <QUERIES.txt> [--uniform-cost <N> | --cost-range <LO..HI> [--seed <S>]]
             --out <FILE|->
   mc3 compare <DATASET.json>
-  mc3 serve [--addr <HOST:PORT>] [--workers <N>] [--cache-mb <MB>] [--no-cache]
-            [--solve-threads <N>]
+  mc3 serve [--addr <HOST:PORT>] [--workers <N>] [--solve-threads <N>]
+            [--cache-mb <MB>] [--no-cache]  (exact-body response cache,
+            default 16 MiB)
   mc3 loadgen [--addr <HOST:PORT>] [--duration <SECS>] [--concurrency <N>]
               [--mix <kind:queries:seed[:algo][xW],...>] [--slo p99=<MS>]
               [--batch <N>]
@@ -549,7 +550,7 @@ impl Cli {
             "serve" => {
                 let mut addr = "127.0.0.1:7920".to_owned();
                 let mut workers = 0usize;
-                let mut cache_mb = 64usize;
+                let mut cache_mb = mc3_server::DEFAULT_CACHE_MB;
                 let mut no_cache = false;
                 let mut solve_threads = 0usize;
                 while let Some(flag) = s.next().map(str::to_owned) {
@@ -973,7 +974,9 @@ mod tests {
             } => {
                 assert_eq!(addr, "127.0.0.1:7920");
                 assert_eq!(workers, 0);
-                assert_eq!(cache_mb, 64);
+                assert_eq!(cache_mb, mc3_server::DEFAULT_CACHE_MB);
+                let documented = format!("default {} MiB", mc3_server::DEFAULT_CACHE_MB);
+                assert!(USAGE.contains(&documented), "usage must state {documented}");
                 assert!(!no_cache);
                 assert_eq!(solve_threads, 0);
             }

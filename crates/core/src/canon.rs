@@ -24,8 +24,9 @@
 //! # Algorithm
 //!
 //! A color-refinement (1-WL) pass over the property/query incidence
-//! structure, seeded with invariant per-property keys (singleton
-//! classifier weight, degree, containing-query shapes), followed by
+//! structure, seeded with invariant per-property keys (degree,
+//! containing-query shapes, and the multiset of `(length, weight)` over
+//! the finite classifiers containing the property), followed by
 //! individualization-refinement search: while the coloring is not
 //! discrete, the first non-singleton color class is split by
 //! individualizing each of its members in turn, and the
@@ -508,11 +509,9 @@ pub fn canonicalize(
         }
     }
 
-    // Finite weight-oracle entries, plus per-prop singleton weights for
-    // the initial coloring.
+    // Finite weight-oracle entries.
     let mut budget_left = budget;
     let mut weights = Vec::new();
-    let mut singleton = vec![u64::MAX; n];
     for (qi, members) in q_members.iter().enumerate() {
         let len = members.len();
         if len >= 32 {
@@ -533,11 +532,6 @@ pub fn canonicalize(
             if !w.is_finite() {
                 continue;
             }
-            if mask.count_ones() == 1 {
-                let bit = mask.trailing_zeros() as usize;
-                let p = members[bit] as usize;
-                singleton[p] = singleton[p].min(w.raw());
-            }
             weights.push(WeightEntry {
                 query: u32_of(qi),
                 mask,
@@ -557,11 +551,25 @@ pub fn canonicalize(
         budget: budget_left,
     };
 
-    // Initial invariant coloring: singleton weight, degree, shapes of the
-    // containing queries.
+    // Per prop: (length, weight) of every finite classifier containing it.
+    // Refinement never looks at multi-property weights, so without these
+    // the many ties of a narrow weight range would all be broken by
+    // individualization.
+    let mut classifiers: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
+    for e in &ctx.weights {
+        let len = u64::from(e.mask.count_ones());
+        for (bit, &p) in ctx.q_members[e.query as usize].iter().enumerate() {
+            if (e.mask >> bit) & 1 == 1 {
+                classifiers[p as usize].push((len, e.weight_raw));
+            }
+        }
+    }
+
+    // Initial invariant coloring: degree, shapes of the containing
+    // queries, classifier (length, weight) multiset.
     let mut init_keys = Vec::with_capacity(n);
     let mut shape: Vec<u64> = Vec::new();
-    for p in 0..n {
+    for (p, own) in classifiers.iter_mut().enumerate() {
         shape.clear();
         for &(qi, bit) in &ctx.occ[ctx.occ_off[p]..ctx.occ_off[p + 1]] {
             let covered = u64::from((q_covered[qi as usize] >> bit) & 1);
@@ -569,10 +577,15 @@ pub fn canonicalize(
             shape.push((len << 1) | covered);
         }
         shape.sort_unstable();
+        own.sort_unstable();
         let mut h = StableHasher::new();
-        h.write_u64(singleton[p]);
         h.write_u64(deg[p] as u64);
         h.write_words(&shape);
+        h.write_u64(own.len() as u64);
+        for &(len, weight) in own.iter() {
+            h.write_u64(len);
+            h.write_u64(weight);
+        }
         init_keys.push(h.finish128());
     }
     let (init_colors, _) = ctx.rerank(&init_keys);

@@ -13,11 +13,11 @@
 //!   [`mc3_telemetry::Aggregator`], plus the request-plane families),
 //!   `GET /healthz`, `GET /buildinfo`. Every request gets its own id,
 //!   propagated into the JSONL event log, and its own
-//!   [`mc3_telemetry::ScopedSession`] span tree. Repeated work is
-//!   memoized across requests: a canonical-fingerprint component cache
-//!   ([`mc3_solver::SolveCache`]) plus an exact-body response cache,
-//!   both sized by [`ServerConfig::cache_mb`] and disabled by
-//!   [`ServerConfig::no_cache`].
+//!   [`mc3_telemetry::ScopedSession`] span tree. A repeated body is
+//!   answered from an exact-body response cache, sized by
+//!   [`ServerConfig::cache_mb`] and disabled by
+//!   [`ServerConfig::no_cache`]; every other body runs the plain
+//!   component solve on the shared executor.
 //! * [`loadgen`] — `mc3 loadgen`: drives a server with a deterministic
 //!   [`mc3_workload::RequestMix`], reports per-route p50/p95/p99, and
 //!   exits non-zero when the `/solve` p99 SLO is violated (the CI smoke
@@ -34,6 +34,10 @@ pub mod server;
 pub use loadgen::{run_loadgen, LoadReport, RouteStats};
 pub use server::{Server, ServerState};
 
+/// Default byte budget (MiB) of the exact-body response cache
+/// (`mc3 serve --cache-mb`).
+pub const DEFAULT_CACHE_MB: usize = 16;
+
 /// `mc3 serve` parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -42,12 +46,12 @@ pub struct ServerConfig {
     /// Worker threads; `0` = one per available core (floor 8, so the
     /// default covers `mc3 loadgen --concurrency 8`).
     pub workers: usize,
-    /// Byte budget (MiB) for the cross-request solve cache; the
-    /// exact-body request cache gets a quarter of it on top. `0`
-    /// disables both, same as `no_cache`.
+    /// Byte budget (MiB) of the exact-body response cache, charged for
+    /// the rendered response bytes it keeps; `0` disables it, same as
+    /// `no_cache`. Defaults to [`DEFAULT_CACHE_MB`].
     pub cache_mb: usize,
-    /// Disable the solve and request caches (`--no-cache`): every
-    /// request recomputes from scratch.
+    /// Disable the response cache (`--no-cache`): every request
+    /// recomputes from scratch.
     pub no_cache: bool,
     /// Worker count for the shared solve executor
     /// ([`mc3_solver::executor`]) all `/solve` and `/solve-batch`

@@ -16,10 +16,9 @@
 //! `count`/`ok` fields, and the SLO gate applies to the per-item
 //! `solve-batch` percentiles.
 //!
-//! The run also scrapes the server's cache counters
-//! (`mc3_cache_hits_total`, `mc3_request_cache_hits_total`, …) before
-//! and after, and reports the hit ratios the run itself produced — the
-//! observable that makes a duplicate-heavy mix worth driving.
+//! The run also scrapes the server's response-cache counters
+//! (`mc3_request_cache_hits_total`, `mc3_request_cache_misses_total`)
+//! before and after, and reports the hit ratio the run itself produced.
 
 use crate::http::{read_response, write_request};
 use crate::LoadgenConfig;
@@ -149,18 +148,16 @@ fn parse_batch_envelope(body: &[u8]) -> Option<(u64, u64)> {
     Some((doc.get("count")?.as_u64()?, doc.get("ok")?.as_u64()?))
 }
 
-/// Cache counters lifted from one `/metrics` exposition.
+/// Response-cache counters lifted from one `/metrics` exposition.
 #[derive(Debug, Default, Clone, Copy)]
 struct CacheCounters {
-    solve_hits: u64,
-    solve_misses: u64,
-    request_hits: u64,
-    request_misses: u64,
+    hits: u64,
+    misses: u64,
 }
 
-/// Scrapes `/metrics` once and extracts the cache counter families;
-/// `None` when the scrape itself fails (families missing parse as 0 —
-/// a `--no-cache` server still renders the registry counters).
+/// Scrapes `/metrics` once and extracts the response-cache counter
+/// families; `None` when the scrape itself fails (families missing parse
+/// as 0 — a `--no-cache` server renders none).
 fn scrape_cache_counters(addr: &str) -> Option<CacheCounters> {
     let (mut reader, mut writer) = connect(addr).ok()?;
     write_request(&mut writer, "GET", "/metrics", None).ok()?;
@@ -177,10 +174,8 @@ fn scrape_cache_counters(addr: &str) -> Option<CacheCounters> {
             .unwrap_or(0)
     };
     Some(CacheCounters {
-        solve_hits: value("mc3_cache_hits_total"),
-        solve_misses: value("mc3_cache_misses_total"),
-        request_hits: value("mc3_request_cache_hits_total"),
-        request_misses: value("mc3_request_cache_misses_total"),
+        hits: value("mc3_request_cache_hits_total"),
+        misses: value("mc3_request_cache_misses_total"),
     })
 }
 
@@ -329,14 +324,10 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<String, String> {
     let mut text = report.render(cfg.concurrency.max(1));
     if let (Some(before), Some(after)) = (cache_before, scrape_cache_counters(&cfg.addr)) {
         text.push_str(&format!(
-            "  cache solve-components: {} hit  request-bodies: {} hit\n",
+            "  cache request-bodies: {} hit\n",
             hit_ratio(
-                after.solve_hits.saturating_sub(before.solve_hits),
-                after.solve_misses.saturating_sub(before.solve_misses),
-            ),
-            hit_ratio(
-                after.request_hits.saturating_sub(before.request_hits),
-                after.request_misses.saturating_sub(before.request_misses),
+                after.hits.saturating_sub(before.hits),
+                after.misses.saturating_sub(before.misses),
             ),
         ));
     }

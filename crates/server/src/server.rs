@@ -29,21 +29,19 @@
 //! registry rendered from the aggregator's cumulative report
 //! ([`mc3_obs::prometheus_text`]), the constant
 //! [`mc3_obs::build_info_text`] gauge, the live request-plane
-//! families ([`RequestMetrics::render`]), the cache occupancy
-//! families ([`cache_metrics_text`]), and the live executor families
+//! families ([`RequestMetrics::render`]), the request-cache families
+//! ([`cache_metrics_text`]), and the live executor families
 //! ([`exec_metrics_text`]).
 //!
 //! # Caching
 //!
-//! Unless `--no-cache` is set, `/solve` consults two memo layers:
-//!
-//! 1. an **exact-body request cache** — a byte-bounded LRU keyed by a
-//!    stable hash of the raw body plus the algorithm selector; a hit
-//!    replays the full 200 response with `request_id` re-stamped;
-//! 2. the **cross-request component cache** ([`mc3_solver::SolveCache`],
-//!    shared by every worker via [`Mc3Solver::cache`]) — bodies that
-//!    differ textually but contain isomorphic components still hit,
-//!    keyed by `mc3-core::canon` canonical fingerprints.
+//! Unless `--no-cache` is set, `/solve` consults one memo layer: an
+//! **exact-body request cache**, a byte-bounded LRU keyed by a stable
+//! hash of the raw body plus the algorithm selector. A hit replays the
+//! rendered 200 response with `request_id` re-stamped. Everything else
+//! runs the plain component solve: the canonical-fingerprint component
+//! cache ([`mc3_solver::SolveCache`]) stays a library opt-in, because on
+//! served traffic canonicalizing a component costs more than solving it.
 
 use crate::http::{encode_response, read_request, Request};
 use crate::pool::ThreadPool;
@@ -51,11 +49,12 @@ use crate::ServerConfig;
 use mc3_core::json::Json;
 use mc3_core::{FxHashMap, StableHasher};
 use mc3_obs::{RequestMetrics, Route};
-use mc3_solver::{executor, Algorithm, Mc3Solver, SolveCache};
+use mc3_solver::{executor, Algorithm, Mc3Solver};
 use mc3_telemetry::Aggregator;
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -66,13 +65,14 @@ use std::time::Duration;
 const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Fixed per-entry overhead charged by the request cache on top of the
-/// rendered body: key, LRU slot, map slot, `Json` tree bookkeeping.
+/// retained response bytes: key, LRU slot, map slot, entry bookkeeping.
 const REQUEST_ENTRY_OVERHEAD: usize = 160;
 
 /// Exact-body response memo for `POST /solve`: keyed by a stable hash of
-/// the raw request body plus the algorithm selector, holding the full
-/// 200-response document. A hit clones the document and re-stamps
-/// `request_id`, so every response stays uniquely attributable.
+/// the raw request body plus the algorithm selector, holding the rendered
+/// 200-response bytes. A hit copies them with this request's id spliced
+/// over the stored one, so every response stays uniquely attributable.
+#[derive(Default)]
 struct RequestCache {
     map: FxHashMap<u128, RequestEntry>,
     lru: BTreeMap<u64, u128>,
@@ -85,92 +85,79 @@ struct RequestCache {
 }
 
 struct RequestEntry {
-    doc: Json,
-    bytes: usize,
+    /// The rendered response body, allocated to its exact length.
+    body: Box<[u8]>,
+    /// Byte range of the `request_id` value (inside its quotes).
+    id: Range<usize>,
     tick: u64,
-}
-
-/// Snapshot of the request-cache counters, rendered into `/metrics`.
-struct RequestCacheStats {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    entries: usize,
-    bytes: usize,
 }
 
 impl RequestCache {
     fn new(budget: usize) -> RequestCache {
         RequestCache {
-            map: FxHashMap::default(),
-            lru: BTreeMap::new(),
-            bytes: 0,
             budget,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
+            ..RequestCache::default()
         }
     }
 
-    fn lookup(&mut self, key: u128) -> Option<Json> {
+    /// The memoized body for `key`, re-stamped with `request_id`.
+    fn lookup(&mut self, key: u128, request_id: &str) -> Option<Vec<u8>> {
         self.tick += 1;
         let tick = self.tick;
-        match self.map.get_mut(&key) {
-            Some(entry) => {
-                self.lru.remove(&entry.tick);
-                entry.tick = tick;
-                self.lru.insert(tick, key);
-                self.hits += 1;
-                Some(entry.doc.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let Some(entry) = self.map.get_mut(&key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.lru.remove(&entry.tick);
+        entry.tick = tick;
+        self.lru.insert(tick, key);
+        self.hits += 1;
+        let head = entry.body.get(..entry.id.start).unwrap_or_default();
+        let tail = entry.body.get(entry.id.end..).unwrap_or_default();
+        Some([head, request_id.as_bytes(), tail].concat())
     }
 
-    fn insert(&mut self, key: u128, doc: Json, body_len: usize) {
-        let bytes = body_len + REQUEST_ENTRY_OVERHEAD;
+    /// Memoizes a rendered response `body` that carries `request_id`.
+    fn insert(&mut self, key: u128, body: &[u8], request_id: &str) {
+        // The key sorts after `"queries"`, near the end of the document;
+        // string values escape their quotes, so the pattern cannot occur
+        // inside one.
+        let needle = format!("\"request_id\": \"{request_id}\"");
+        let Some(at) = body
+            .windows(needle.len())
+            .rposition(|w| w == needle.as_bytes())
+        else {
+            return;
+        };
+        let bytes = body.len() + REQUEST_ENTRY_OVERHEAD;
         if bytes > self.budget {
             return; // never evict the whole cache for one giant response
         }
         if let Some(old) = self.map.remove(&key) {
             self.lru.remove(&old.tick);
-            self.bytes -= old.bytes;
+            self.bytes -= old.body.len() + REQUEST_ENTRY_OVERHEAD;
         }
         while self.bytes + bytes > self.budget {
-            let Some((&oldest, &victim)) = self.lru.iter().next() else {
+            let Some((_, victim)) = self.lru.pop_first() else {
                 break;
             };
-            self.lru.remove(&oldest);
             if let Some(evicted) = self.map.remove(&victim) {
-                self.bytes -= evicted.bytes;
+                self.bytes -= evicted.body.len() + REQUEST_ENTRY_OVERHEAD;
                 self.evictions += 1;
             }
         }
         self.tick += 1;
         self.lru.insert(self.tick, key);
+        let id_end = at + needle.len() - 1;
         self.map.insert(
             key,
             RequestEntry {
-                doc,
-                bytes,
+                body: body.into(),
+                id: id_end - request_id.len()..id_end,
                 tick: self.tick,
             },
         );
         self.bytes += bytes;
-    }
-
-    fn stats(&self) -> RequestCacheStats {
-        RequestCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            entries: self.map.len(),
-            bytes: self.bytes,
-        }
     }
 }
 
@@ -198,7 +185,6 @@ pub struct ServerState {
     pub aggregator: Aggregator,
     request_seq: AtomicU64,
     nonce: u64,
-    solve_cache: Option<Arc<SolveCache>>,
     request_cache: Option<Mutex<RequestCache>>,
     requests_dropped: AtomicU64,
 }
@@ -211,16 +197,10 @@ impl ServerState {
             aggregator: Aggregator::new(),
             request_seq: AtomicU64::new(0),
             nonce: mc3_telemetry::monotonic_ns(),
-            solve_cache: caching.then(|| Arc::new(SolveCache::with_capacity_mb(cfg.cache_mb))),
             request_cache: caching
-                .then(|| Mutex::new(RequestCache::new(cfg.cache_mb * (1 << 20) / 4))),
+                .then(|| Mutex::new(RequestCache::new(cfg.cache_mb.saturating_mul(1 << 20)))),
             requests_dropped: AtomicU64::new(0),
         }
-    }
-
-    /// The cross-request component solve cache, when enabled.
-    pub fn solve_cache(&self) -> Option<&Arc<SolveCache>> {
-        self.solve_cache.as_ref()
     }
 
     /// Connections the accept loop had to answer 503 for because the
@@ -295,7 +275,7 @@ impl Server {
                 ),
                 (
                     "cache_mb",
-                    mc3_obs::Value::U64(if state.solve_cache.is_some() {
+                    mc3_obs::Value::U64(if state.request_cache.is_some() {
                         cfg.cache_mb as u64
                     } else {
                         0
@@ -538,42 +518,24 @@ fn handle_buildinfo() -> HandlerResponse {
     )
 }
 
-/// Live gauge/counter families for the two caches. The cumulative
-/// `mc3_cache_hits_total` / `mc3_cache_misses_total` /
-/// `mc3_cache_evictions_total` counters already arrive through the
-/// telemetry registry ([`mc3_obs::prometheus_text`]); this adds the
-/// instantaneous occupancy families the registry cannot carry, plus the
-/// request-cache plane.
+/// Live counter and gauge families of the exact-body request cache.
 fn cache_metrics_text(state: &ServerState) -> String {
-    let mut out = String::new();
-    if let Some(cache) = &state.solve_cache {
-        let s = cache.stats();
-        out.push_str("# TYPE mc3_cache_resident_bytes gauge\n");
-        out.push_str(&format!("mc3_cache_resident_bytes {}\n", s.resident_bytes));
-        out.push_str("# TYPE mc3_cache_capacity_bytes gauge\n");
-        out.push_str(&format!("mc3_cache_capacity_bytes {}\n", s.capacity_bytes));
-        out.push_str("# TYPE mc3_cache_entries gauge\n");
-        out.push_str(&format!("mc3_cache_entries {}\n", s.entries));
-    }
-    if let Some(cache) = &state.request_cache {
-        if let Ok(cache) = cache.lock() {
-            let s = cache.stats();
-            out.push_str("# TYPE mc3_request_cache_hits_total counter\n");
-            out.push_str(&format!("mc3_request_cache_hits_total {}\n", s.hits));
-            out.push_str("# TYPE mc3_request_cache_misses_total counter\n");
-            out.push_str(&format!("mc3_request_cache_misses_total {}\n", s.misses));
-            out.push_str("# TYPE mc3_request_cache_evictions_total counter\n");
-            out.push_str(&format!(
-                "mc3_request_cache_evictions_total {}\n",
-                s.evictions
-            ));
-            out.push_str("# TYPE mc3_request_cache_entries gauge\n");
-            out.push_str(&format!("mc3_request_cache_entries {}\n", s.entries));
-            out.push_str("# TYPE mc3_request_cache_resident_bytes gauge\n");
-            out.push_str(&format!("mc3_request_cache_resident_bytes {}\n", s.bytes));
-        }
-    }
-    out
+    let Some(Ok(cache)) = state.request_cache.as_ref().map(Mutex::lock) else {
+        return String::new();
+    };
+    let families = [
+        ("hits_total", "counter", cache.hits),
+        ("misses_total", "counter", cache.misses),
+        ("evictions_total", "counter", cache.evictions),
+        ("entries", "gauge", cache.map.len() as u64),
+        ("resident_bytes", "gauge", cache.bytes as u64),
+    ];
+    families
+        .iter()
+        .map(|(name, kind, value)| {
+            format!("# TYPE mc3_request_cache_{name} {kind}\nmc3_request_cache_{name} {value}\n")
+        })
+        .collect()
 }
 
 /// Live executor families: pool size and queue depth gauges plus the
@@ -629,20 +591,22 @@ fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> Handler
     };
     // Exact-body fast path: an identical (body, algorithm) pair replays
     // the memoized response, re-stamped with this request's id.
-    let key = state
+    let cached = state
         .request_cache
         .as_ref()
-        .map(|_| body_key(req.body.as_slice(), algorithm.name()));
-    if let (Some(cache), Some(key)) = (state.request_cache.as_ref(), key) {
-        let cached = match cache.lock() {
-            Ok(mut cache) => cache.lookup(key),
-            Err(_) => None, // poisoned lock: serve uncached, never fail the request
-        };
-        if let Some(mut doc) = cached {
-            if let Json::Object(map) = &mut doc {
-                map.insert("request_id".to_owned(), Json::Str(request_id.to_owned()));
-            }
-            return json_response(200, &doc);
+        .map(|cache| (cache, body_key(req.body.as_slice(), algorithm.name())));
+    if let Some((cache, key)) = cached {
+        // A poisoned lock serves uncached: never fail the request.
+        if let Some(body) = cache
+            .lock()
+            .ok()
+            .and_then(|mut c| c.lookup(key, request_id))
+        {
+            return HandlerResponse {
+                status: 200,
+                content_type: "application/json",
+                body,
+            };
         }
     }
 
@@ -659,9 +623,9 @@ fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> Handler
         std::iter::once(("request_id", Json::Str(request_id.to_owned()))).chain(fields),
     );
     let response = json_response(200, &doc);
-    if let (Some(cache), Some(key)) = (state.request_cache.as_ref(), key) {
+    if let Some((cache, key)) = cached {
         if let Ok(mut cache) = cache.lock() {
-            cache.insert(key, doc, response.body.len());
+            cache.insert(key, &response.body, request_id);
         }
     }
     response
@@ -682,11 +646,10 @@ fn solve_doc(
     algorithm: Algorithm,
 ) -> Result<Vec<(&'static str, Json)>, (u16, String)> {
     let scope = mc3_telemetry::ScopedSession::begin();
-    let mut solver = Mc3Solver::new().algorithm(algorithm).parallel(true);
-    if let Some(cache) = &state.solve_cache {
-        solver = solver.cache(Arc::clone(cache));
-    }
-    let solved = solver.solve_report(&ds.instance);
+    let solved = Mc3Solver::new()
+        .algorithm(algorithm)
+        .parallel(true)
+        .solve_report(&ds.instance);
     let roots = scope.finish();
     state.aggregator.absorb(&roots);
 
@@ -735,9 +698,9 @@ fn solve_doc(
 /// groups on the shared executor (each item's component tasks fan out
 /// across the pool) and are fully independent: a bad or infeasible item
 /// reports its own `status`/`error` without failing its siblings, and
-/// every item gets its own verified certificate. Isomorphic items hit
-/// the shared component cache, so duplicate-heavy batches amortize both
-/// parsing and solving.
+/// every item gets its own verified certificate. Batching amortizes the
+/// per-request overhead (connection turnaround, parsing, bookkeeping)
+/// over the items.
 fn handle_solve_batch(state: &ServerState, req: &Request, request_id: &str) -> HandlerResponse {
     let algorithm = match req.query_param("algorithm") {
         Some(name) => match Algorithm::parse_name(name) {
@@ -792,4 +755,54 @@ fn handle_solve_batch(state: &ServerState, req: &Request, request_id: &str) -> H
         ("items", Json::Array(out)),
     ]);
     json_response(200, &doc)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const FIRST_ID: &str = "0000abcd-00000001";
+
+    /// A rendered `/solve`-shaped response. The trailing note sorts after
+    /// `request_id` and spells the key with the first id inside a string.
+    fn rendered(request_id: &str, cost: i128) -> Vec<u8> {
+        let doc = Json::object([
+            ("request_id", Json::Str(request_id.to_owned())),
+            ("cost", Json::Int(cost)),
+            ("classifiers", Json::array((0..40).map(Json::Int))),
+            (
+                "zz_note",
+                Json::Str(format!("\"request_id\": \"{FIRST_ID}\"")),
+            ),
+        ]);
+        json_response(200, &doc).body
+    }
+
+    #[test]
+    fn request_cache_charges_exactly_the_retained_bytes() {
+        let one = rendered(FIRST_ID, 10).len() + REQUEST_ENTRY_OVERHEAD;
+        let mut cache = RequestCache::new(3 * one);
+        // Re-inserting key 1 replaces its charge; the fourth key evicts.
+        for (key, cost) in [(1, 10), (1, 11), (2, 12), (3, 13), (4, 14)] {
+            cache.insert(key, &rendered(FIRST_ID, cost), FIRST_ID);
+            let retained: usize = cache.map.values().map(|e| e.body.len()).sum();
+            assert_eq!(
+                cache.bytes,
+                retained + cache.map.len() * REQUEST_ENTRY_OVERHEAD
+            );
+        }
+        assert_eq!((cache.map.len(), cache.evictions), (3, 1));
+    }
+
+    #[test]
+    fn request_cache_replay_differs_only_in_the_request_id() {
+        let mut cache = RequestCache::new(1 << 20);
+        cache.insert(5, &rendered(FIRST_ID, 7), FIRST_ID);
+        assert_eq!(cache.lookup(6, "0000abcd-00000002"), None);
+        // The second id is wider: the sequence number outgrew 32 bits.
+        for id in ["0000abcd-00000002", "0000abcd-100000000"] {
+            assert_eq!(cache.lookup(5, id), Some(rendered(id, 7)));
+        }
+        assert_eq!((cache.hits, cache.misses), (2, 1));
+    }
 }
