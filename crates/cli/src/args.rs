@@ -154,10 +154,9 @@ pub enum Command {
         addr: String,
         /// Worker threads (0 = one per available core).
         workers: usize,
-        /// Response-cache budget in MiB (0 disables caching).
+        /// Response-cache budget in MiB (0 disables caching, which is
+        /// what `--no-cache` sets).
         cache_mb: usize,
-        /// Disable the response cache.
-        no_cache: bool,
         /// Shared solve-executor size (0 = one per available core).
         solve_threads: usize,
     },
@@ -578,11 +577,15 @@ impl Cli {
                         other => return Err(format!("unknown flag '{other}' for serve")),
                     }
                 }
+                // Applied after every flag, so `--no-cache` wins over a
+                // `--cache-mb` in either order.
+                if no_cache {
+                    cache_mb = 0;
+                }
                 Command::Serve {
                     addr,
                     workers,
                     cache_mb,
-                    no_cache,
                     solve_threads,
                 }
             }
@@ -969,7 +972,6 @@ mod tests {
                 addr,
                 workers,
                 cache_mb,
-                no_cache,
                 solve_threads,
             } => {
                 assert_eq!(addr, "127.0.0.1:7920");
@@ -977,7 +979,6 @@ mod tests {
                 assert_eq!(cache_mb, mc3_server::DEFAULT_CACHE_MB);
                 let documented = format!("default {} MiB", mc3_server::DEFAULT_CACHE_MB);
                 assert!(USAGE.contains(&documented), "usage must state {documented}");
-                assert!(!no_cache);
                 assert_eq!(solve_threads, 0);
             }
             other => panic!("wrong command: {other:?}"),
@@ -1000,17 +1001,22 @@ mod tests {
                 addr,
                 workers,
                 cache_mb,
-                no_cache,
                 solve_threads,
             } => {
                 assert_eq!(addr, "0.0.0.0:8080");
                 assert_eq!(workers, 6);
-                assert_eq!(cache_mb, 128);
-                assert!(no_cache);
+                assert_eq!(cache_mb, 0, "--no-cache wins over an earlier --cache-mb");
                 assert_eq!(solve_threads, 5);
             }
             other => panic!("wrong command: {other:?}"),
         }
+        let cli = Cli::parse(["serve", "--no-cache", "--cache-mb", "64"]).unwrap();
+        assert!(
+            matches!(cli.command, Command::Serve { cache_mb: 0, .. }),
+            "--no-cache wins over a later --cache-mb"
+        );
+        let cli = Cli::parse(["serve", "--cache-mb", "64"]).unwrap();
+        assert!(matches!(cli.command, Command::Serve { cache_mb: 64, .. }));
         let cli = Cli::parse([
             "loadgen",
             "--addr",

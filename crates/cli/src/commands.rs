@@ -108,14 +108,12 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             addr,
             workers,
             cache_mb,
-            no_cache,
             solve_threads,
         } => {
             let cfg = mc3_server::ServerConfig {
                 addr: addr.clone(),
                 workers: *workers,
                 cache_mb: *cache_mb,
-                no_cache: *no_cache,
                 solve_threads: *solve_threads,
             };
             let server = mc3_server::Server::start(&cfg)?;
@@ -237,10 +235,12 @@ fn solve(
     chrome: Option<&str>,
 ) -> Result<String, String> {
     let ds = load_dataset(dataset)?;
-    let mut solver = Mc3Solver::new()
-        .algorithm(algorithm)
-        .parallel(parallel)
-        .threads(threads);
+    // The solve executor is process-wide and sized once, before its
+    // first use, so the size is set here rather than per solve.
+    if threads > 0 {
+        mc3_solver::executor::configure_threads(threads);
+    }
+    let mut solver = Mc3Solver::new().algorithm(algorithm).parallel(parallel);
     if no_preprocess {
         solver = solver.without_preprocessing();
     }

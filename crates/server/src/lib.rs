@@ -15,9 +15,8 @@
 //!   propagated into the JSONL event log, and its own
 //!   [`mc3_telemetry::ScopedSession`] span tree. A repeated body is
 //!   answered from an exact-body response cache, sized by
-//!   [`ServerConfig::cache_mb`] and disabled by
-//!   [`ServerConfig::no_cache`]; every other body runs the plain
-//!   component solve on the shared executor.
+//!   [`ServerConfig::cache_mb`] (`0` disables it); every other body runs
+//!   the plain component solve on the shared executor.
 //! * [`loadgen`] — `mc3 loadgen`: drives a server with a deterministic
 //!   [`mc3_workload::RequestMix`], reports per-route p50/p95/p99, and
 //!   exits non-zero when the `/solve` p99 SLO is violated (the CI smoke
@@ -47,12 +46,10 @@ pub struct ServerConfig {
     /// default covers `mc3 loadgen --concurrency 8`).
     pub workers: usize,
     /// Byte budget (MiB) of the exact-body response cache, charged for
-    /// the rendered response bytes it keeps; `0` disables it, same as
-    /// `no_cache`. Defaults to [`DEFAULT_CACHE_MB`].
+    /// the rendered response bytes it keeps; `0` (`--no-cache`) disables
+    /// it, so every request recomputes from scratch. Defaults to
+    /// [`DEFAULT_CACHE_MB`].
     pub cache_mb: usize,
-    /// Disable the response cache (`--no-cache`): every request
-    /// recomputes from scratch.
-    pub no_cache: bool,
     /// Worker count for the shared solve executor
     /// ([`mc3_solver::executor`]) all `/solve` and `/solve-batch`
     /// requests run their component solves on; `0` = one per available

@@ -35,13 +35,14 @@
 //!
 //! # Caching
 //!
-//! Unless `--no-cache` is set, `/solve` consults one memo layer: an
-//! **exact-body request cache**, a byte-bounded LRU keyed by a stable
-//! hash of the raw body plus the algorithm selector. A hit replays the
-//! rendered 200 response with `request_id` re-stamped. Everything else
-//! runs the plain component solve: the canonical-fingerprint component
-//! cache ([`mc3_solver::SolveCache`]) stays a library opt-in, because on
-//! served traffic canonicalizing a component costs more than solving it.
+//! Unless its budget is 0 (`--cache-mb 0`, which `--no-cache` sets),
+//! `/solve` consults one memo layer: an **exact-body request cache**, a
+//! byte-bounded LRU keyed by a stable hash of the raw body plus the
+//! algorithm selector. A hit replays the rendered 200 response with
+//! `request_id` re-stamped. Everything else runs the plain component
+//! solve: the canonical-fingerprint component cache
+//! ([`mc3_solver::SolveCache`]) stays a library opt-in, because on served
+//! traffic canonicalizing a component costs more than solving it.
 
 use crate::http::{encode_response, read_request, Request};
 use crate::pool::ThreadPool;
@@ -191,13 +192,12 @@ pub struct ServerState {
 
 impl ServerState {
     fn new(cfg: &ServerConfig) -> ServerState {
-        let caching = !cfg.no_cache && cfg.cache_mb > 0;
         ServerState {
             metrics: RequestMetrics::new(),
             aggregator: Aggregator::new(),
             request_seq: AtomicU64::new(0),
             nonce: mc3_telemetry::monotonic_ns(),
-            request_cache: caching
+            request_cache: (cfg.cache_mb > 0)
                 .then(|| Mutex::new(RequestCache::new(cfg.cache_mb.saturating_mul(1 << 20)))),
             requests_dropped: AtomicU64::new(0),
         }
@@ -273,14 +273,7 @@ impl Server {
                     "solve_threads",
                     mc3_obs::Value::U64(executor::effective_threads() as u64),
                 ),
-                (
-                    "cache_mb",
-                    mc3_obs::Value::U64(if state.request_cache.is_some() {
-                        cfg.cache_mb as u64
-                    } else {
-                        0
-                    }),
-                ),
+                ("cache_mb", mc3_obs::Value::U64(cfg.cache_mb as u64)),
             ],
         );
         Ok(Server {
@@ -581,13 +574,18 @@ fn handle_metrics(state: &ServerState) -> HandlerResponse {
     }
 }
 
+/// The `?algorithm=` selector shared by `/solve` and `/solve-batch`:
+/// absent means [`Algorithm::Auto`]; an unknown name is a 400.
+fn algorithm_param(req: &Request) -> Result<Algorithm, HandlerResponse> {
+    req.query_param("algorithm")
+        .map_or(Ok(Algorithm::Auto), Algorithm::parse_name)
+        .map_err(|e| error_response(400, &e))
+}
+
 fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> HandlerResponse {
-    let algorithm = match req.query_param("algorithm") {
-        Some(name) => match Algorithm::parse_name(name) {
-            Ok(a) => a,
-            Err(e) => return error_response(400, &e),
-        },
-        None => Algorithm::Auto,
+    let algorithm = match algorithm_param(req) {
+        Ok(a) => a,
+        Err(response) => return response,
     };
     // Exact-body fast path: an identical (body, algorithm) pair replays
     // the memoized response, re-stamped with this request's id.
@@ -702,12 +700,9 @@ fn solve_doc(
 /// per-request overhead (connection turnaround, parsing, bookkeeping)
 /// over the items.
 fn handle_solve_batch(state: &ServerState, req: &Request, request_id: &str) -> HandlerResponse {
-    let algorithm = match req.query_param("algorithm") {
-        Some(name) => match Algorithm::parse_name(name) {
-            Ok(a) => a,
-            Err(e) => return error_response(400, &e),
-        },
-        None => Algorithm::Auto,
+    let algorithm = match algorithm_param(req) {
+        Ok(a) => a,
+        Err(response) => return response,
     };
     let body = match std::str::from_utf8(&req.body) {
         Ok(s) => s,

@@ -59,7 +59,6 @@ fn serving_plane_end_to_end() {
         addr: "127.0.0.1:0".to_owned(),
         workers: 3,
         cache_mb: mc3_server::DEFAULT_CACHE_MB,
-        no_cache: false,
         solve_threads: 0,
     })
     .expect("server start");

@@ -48,11 +48,11 @@ const ENTRY_OVERHEAD: usize = 112;
 
 /// One memoized component solution, in canonical property ids.
 #[derive(Debug, Clone)]
-pub struct CachedSolve {
+pub(crate) struct CachedSolve {
     /// The chosen classifiers, each a sorted set of canonical ids.
-    pub sets: Vec<Vec<u32>>,
+    sets: Vec<Vec<u32>>,
     /// Total weight of the solution when it was inserted (raw `Weight`).
-    pub cost_raw: u64,
+    cost_raw: u64,
 }
 
 impl CachedSolve {
@@ -72,7 +72,7 @@ impl CachedSolve {
 /// are work too" item). Negative entries ride the same LRU/byte
 /// accounting as positive ones, at the fixed [`ENTRY_OVERHEAD`].
 #[derive(Debug, Clone)]
-pub enum CachedOutcome {
+pub(crate) enum CachedOutcome {
     /// A memoized solution (in canonical property ids).
     Solved(CachedSolve),
     /// The component had no finite-cost cover when it was inserted.
@@ -203,12 +203,10 @@ impl SolveCache {
     }
 
     /// Looks up a candidate *solution* entry, refreshing its LRU
-    /// position; negative entries answer `None` (use
-    /// [`lookup_outcome`](Self::lookup_outcome) to see them). Does
-    /// *not* count a hit — callers must re-verify the candidate first
-    /// and then call [`confirm_hit`](Self::confirm_hit) or
-    /// [`reject`](Self::reject).
-    pub fn lookup(&self, key: u128) -> Option<CachedSolve> {
+    /// position; negative entries answer `None`. The unit tests' view of
+    /// [`lookup_outcome`](Self::lookup_outcome).
+    #[cfg(test)]
+    fn lookup(&self, key: u128) -> Option<CachedSolve> {
         match self.lookup_outcome(key) {
             Some(CachedOutcome::Solved(s)) => Some(s),
             _ => None,
@@ -216,27 +214,16 @@ impl SolveCache {
     }
 
     /// Looks up a candidate entry of either polarity, refreshing its
-    /// LRU position. Like [`lookup`](Self::lookup), counts nothing —
-    /// the caller re-verifies and then confirms or rejects.
-    pub fn lookup_outcome(&self, key: u128) -> Option<CachedOutcome> {
+    /// LRU position. Counts nothing — the caller re-verifies the
+    /// candidate and then confirms or rejects it.
+    fn lookup_outcome(&self, key: u128) -> Option<CachedOutcome> {
         let mut shard = self.shard(key).lock().ok()?;
         shard.touch(key);
         shard.map.get(&key).map(|e| e.outcome.clone())
     }
 
-    /// Whether an entry (of either polarity) exists for `key`, without
-    /// touching its LRU position or any statistic. This is the
-    /// scheduler's likely-hit probe: it must not perturb eviction order
-    /// or hit accounting, because the actual consult follows moments
-    /// later on a worker.
-    pub fn contains(&self, key: u128) -> bool {
-        self.shard(key)
-            .lock()
-            .is_ok_and(|shard| shard.map.contains_key(&key))
-    }
-
     /// Records a verified hit.
-    pub fn confirm_hit(&self, key: u128) {
+    fn confirm_hit(&self, key: u128) {
         if let Ok(mut shard) = self.shard(key).lock() {
             shard.hits += 1;
         }
@@ -244,7 +231,7 @@ impl SolveCache {
     }
 
     /// Records a verified negative hit (a replayed uncoverable verdict).
-    pub fn confirm_negative_hit(&self, key: u128) {
+    fn confirm_negative_hit(&self, key: u128) {
         if let Ok(mut shard) = self.shard(key).lock() {
             shard.negative_hits += 1;
         }
@@ -252,7 +239,7 @@ impl SolveCache {
     }
 
     /// Records a miss (no entry, or a candidate that failed verification).
-    pub fn note_miss(&self, key: u128) {
+    fn note_miss(&self, key: u128) {
         if let Ok(mut shard) = self.shard(key).lock() {
             shard.misses += 1;
         }
@@ -260,7 +247,7 @@ impl SolveCache {
     }
 
     /// Drops an entry that failed re-verification (collision/corruption).
-    pub fn reject(&self, key: u128) {
+    fn reject(&self, key: u128) {
         if let Ok(mut shard) = self.shard(key).lock() {
             shard.remove(key);
         }
@@ -269,12 +256,12 @@ impl SolveCache {
     /// Inserts (or replaces) a solution entry, evicting LRU entries as
     /// needed to stay under the shard's byte budget. Entries larger than
     /// the budget are not admitted at all.
-    pub fn insert(&self, key: u128, solve: CachedSolve) {
+    fn insert(&self, key: u128, solve: CachedSolve) {
         self.insert_outcome(key, CachedOutcome::Solved(solve));
     }
 
     /// Memoizes an uncoverable verdict for `key`.
-    pub fn insert_negative(&self, key: u128) {
+    fn insert_negative(&self, key: u128) {
         self.insert_outcome(key, CachedOutcome::Uncoverable);
     }
 
@@ -331,7 +318,7 @@ impl SolveCache {
 
 /// Mixes a component fingerprint with the solver-configuration digest
 /// into the final cache key.
-pub(crate) fn component_key(canonical: &Canonical, config_digest: u64) -> u128 {
+fn component_key(canonical: &Canonical, config_digest: u64) -> u128 {
     let mut h = StableHasher::new();
     h.write_u64(config_digest);
     h.write_u64((canonical.fingerprint() >> 64) as u64);
@@ -370,11 +357,7 @@ pub(crate) fn config_digest(
 /// Canonicalizes one residual component of the working state: the
 /// original queries with their covered masks, and the live weight
 /// oracle (removed / absent → ∞, selected → 0).
-pub(crate) fn component_canonical(
-    ws: &WorkState<'_>,
-    comp: &[usize],
-    kp: usize,
-) -> Option<Canonical> {
+fn component_canonical(ws: &WorkState<'_>, comp: &[usize], kp: usize) -> Option<Canonical> {
     let queries: Vec<(&mc3_core::Query, u32)> = comp
         .iter()
         .map(|&q| (&ws.instance.queries()[q], ws.covered[q]))
@@ -393,7 +376,7 @@ pub(crate) fn component_canonical(
 /// Remaps a cached canonical solution back into the current component's
 /// classifier ids and re-verifies it end to end. `None` = unusable
 /// (treat as a miss).
-pub(crate) fn remap_verified(
+fn remap_verified(
     ws: &WorkState<'_>,
     comp: &[usize],
     canonical: &Canonical,
@@ -441,7 +424,7 @@ pub(crate) fn remap_verified(
 /// Expresses a fresh component solution in canonical ids for insertion.
 /// `None` when a classifier strays outside the canonicalized props
 /// (cannot happen for component-local solves; checked defensively).
-pub(crate) fn canonical_sets(
+fn canonical_sets(
     ws: &WorkState<'_>,
     canonical: &Canonical,
     ids: &[ClassifierId],
@@ -481,7 +464,7 @@ pub(crate) fn canonical_sets(
 /// [`Mc3Error::Uncoverable`](mc3_core::Mc3Error::Uncoverable). Like the
 /// positive-path [`remap_verified`], this means a corrupted or colliding
 /// negative entry can cost time, never correctness.
-pub(crate) fn first_uncoverable_query(ws: &WorkState<'_>, comp: &[usize]) -> Option<usize> {
+fn first_uncoverable_query(ws: &WorkState<'_>, comp: &[usize]) -> Option<usize> {
     for &q in comp {
         let need = ws.need(q);
         if need == 0 {
@@ -501,7 +484,7 @@ pub(crate) fn first_uncoverable_query(ws: &WorkState<'_>, comp: &[usize]) -> Opt
     None
 }
 
-/// Everything the per-component loop needs to consult the cache.
+/// Everything the per-component step needs to consult the cache.
 pub(crate) struct CacheContext {
     pub cache: Arc<SolveCache>,
     pub digest: u64,
@@ -509,39 +492,25 @@ pub(crate) struct CacheContext {
 }
 
 impl CacheContext {
-    /// The full consult: canonicalize → lookup → remap + re-verify; on a
-    /// miss, run `solve` and memoize its result. When canonicalization
-    /// exhausts its budget the component is solved uncached and neither
-    /// a hit nor a miss is recorded (the cache was never consulted).
+    /// The full consult, run by whichever thread solves the component:
+    /// canonicalize → lookup → remap + re-verify; on a miss, run `solve`
+    /// and memoize its result. When canonicalization exhausts its budget
+    /// the component is solved uncached and neither a hit nor a miss is
+    /// recorded (the cache was never consulted).
     pub fn solve_component(
         &self,
         ws: &WorkState<'_>,
         comp: &[usize],
         solve: impl FnOnce() -> mc3_core::Result<Vec<ClassifierId>>,
     ) -> mc3_core::Result<Vec<ClassifierId>> {
-        match component_canonical(ws, comp, self.kp) {
-            Some(canonical) => self.solve_component_canonical(ws, comp, &canonical, solve),
-            None => solve(),
-        }
-    }
-
-    /// [`solve_component`](Self::solve_component) with the
-    /// canonicalization already done — the cache-aware scheduler
-    /// fingerprints every component up front to order dispatch, and
-    /// this entry point lets the worker reuse that work instead of
-    /// canonicalizing twice.
-    pub fn solve_component_canonical(
-        &self,
-        ws: &WorkState<'_>,
-        comp: &[usize],
-        canonical: &Canonical,
-        solve: impl FnOnce() -> mc3_core::Result<Vec<ClassifierId>>,
-    ) -> mc3_core::Result<Vec<ClassifierId>> {
+        let Some(canonical) = component_canonical(ws, comp, self.kp) else {
+            return solve();
+        };
         let t0 = mc3_telemetry::monotonic_ns();
-        let key = component_key(canonical, self.digest);
+        let key = component_key(&canonical, self.digest);
         match self.cache.lookup_outcome(key) {
             Some(CachedOutcome::Solved(cached)) => {
-                if let Some(ids) = remap_verified(ws, comp, canonical, &cached) {
+                if let Some(ids) = remap_verified(ws, comp, &canonical, &cached) {
                     self.cache.confirm_hit(key);
                     mc3_telemetry::record(
                         mc3_telemetry::Hist::CacheLookupNs,
@@ -574,7 +543,7 @@ impl CacheContext {
         );
         match solve() {
             Ok(ids) => {
-                if let Some(solve) = canonical_sets(ws, canonical, &ids) {
+                if let Some(solve) = canonical_sets(ws, &canonical, &ids) {
                     self.cache.insert(key, solve);
                 }
                 Ok(ids)
@@ -660,25 +629,11 @@ mod tests {
             cache.lookup_outcome(11),
             Some(CachedOutcome::Uncoverable)
         ));
-        assert!(cache.contains(11));
         cache.confirm_negative_hit(11);
         let s = cache.stats();
         assert_eq!((s.negative_hits, s.entries, s.insertions), (1, 1, 1));
         cache.reject(11);
-        assert!(!cache.contains(11));
-    }
-
-    #[test]
-    fn contains_probe_does_not_perturb_lru_order() {
-        // Budget fits ~2 entries per shard; keys 0, 16, 32 share shard 0.
-        let cache = SolveCache::with_capacity_bytes(SHARDS * (2 * ENTRY_OVERHEAD + 64));
-        cache.insert(0, entry(1, 1));
-        cache.insert(16, entry(1, 2));
-        // A lookup would promote key 0; the scheduler probe must not.
-        assert!(cache.contains(0));
-        cache.insert(32, entry(1, 3));
-        assert!(cache.lookup(0).is_none(), "key 0 stayed the LRU victim");
-        assert!(cache.lookup(16).is_some());
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod solver;
 pub mod verify;
 pub mod work;
 
-pub use cache::{CacheStats, CachedOutcome, CachedSolve, SolveCache};
+pub use cache::{CacheStats, SolveCache};
 pub use exact::solve_exact;
 pub use general::{LpLimits, WscStrategy};
 pub use mc3_flow::FlowAlgorithm;

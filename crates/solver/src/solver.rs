@@ -98,15 +98,13 @@ pub struct SolverConfig {
     /// Solve property-connected components on multiple threads
     /// (Observation 3.2: sub-instances are independent). Parallel solves
     /// run on the process-wide [`executor`](crate::executor) — one fixed
-    /// worker set shared by every solve in the process, not a fresh
-    /// thread set per call.
+    /// worker set shared by every solve in the process, sized once by
+    /// the program's entry point through
+    /// [`executor::configure_threads`](crate::executor::configure_threads).
+    /// Components dispatch largest-first, and each task runs the same
+    /// per-component step as the sequential loop, so the selected
+    /// classifiers never depend on scheduling.
     pub parallel: bool,
-    /// Requested worker count for the shared executor (`None` = number
-    /// of cores). The executor is sized once, on the first parallel
-    /// solve in the process; see [`executor::configure_threads`]
-    /// (crate::executor::configure_threads). Excluded from the cache
-    /// configuration digest: thread count never changes results.
-    pub threads: Option<usize>,
     /// Consider only classifiers of length ≤ `k'` (§5.3, bounded
     /// classifiers); `None` = the full universe.
     pub max_classifier_len: Option<usize>,
@@ -123,8 +121,10 @@ pub struct SolverConfig {
     /// (they cannot participate in any cover).
     pub prebuilt: Vec<mc3_core::Classifier>,
     /// Memoization cache for per-component solves, shared across solver
-    /// instances (and, in `mc3 serve`, across requests). `None` — the
-    /// default — disables memoization entirely: the solve path is then
+    /// instances. Consulted once per component, in either execution
+    /// mode, by whichever thread solves that component (it canonicalizes
+    /// the component itself). `None` — the default, and what `mc3 serve`
+    /// runs with — disables memoization entirely: the solve path is then
     /// byte-for-byte the uncached pipeline, which keeps `mc3 bench-gate`
     /// counters and allocations deterministic. Ignored when `prebuilt`
     /// is non-empty (inventory re-pricing is request-local).
@@ -139,7 +139,6 @@ impl Default for SolverConfig {
             wsc_strategy: WscStrategy::Combined,
             lp_limits: LpLimits::default(),
             parallel: false,
-            threads: None,
             max_classifier_len: None,
             refine_wsc: true,
             flow_algorithm: mc3_flow::FlowAlgorithm::Dinic,
@@ -265,14 +264,6 @@ impl Mc3Solver {
     /// Enables multi-threaded per-component solving.
     pub fn parallel(mut self, on: bool) -> Self {
         self.config.parallel = on;
-        self
-    }
-
-    /// Requests `n` workers for the shared solve executor (0 = number of
-    /// cores). Effective only before the executor's first use — the pool
-    /// is process-wide and sized exactly once.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.config.threads = if n == 0 { None } else { Some(n) };
         self
     }
 
@@ -443,14 +434,15 @@ impl Mc3Solver {
             None
         };
 
-        // The core dispatch, shared by both execution modes. Reductions
-        // across components reuse one ReductionScratch per worker (or one
-        // for the sequential loop) instead of reallocating both CSR
-        // directions per component.
-        let run_core = |comp: &[usize],
-                        scratch: &mut crate::reduction::ReductionScratch|
+        // The one per-component step both execution modes run: consult
+        // the cache when one is attached, otherwise run the core
+        // algorithm. Reductions reuse the caller's ReductionScratch (one
+        // per solve sequentially, one per worker in parallel) instead of
+        // reallocating both CSR directions per component.
+        let solve_component = |comp: &[usize],
+                               scratch: &mut crate::reduction::ReductionScratch|
          -> Result<Vec<ClassifierId>> {
-            match effective {
+            let mut core = || match effective {
                 Algorithm::K2Exact => solve_k2_with(&ws, comp, self.config.flow_algorithm),
                 Algorithm::General | Algorithm::ShortFirst => {
                     crate::general::solve_general_scratch(
@@ -463,134 +455,43 @@ impl Mc3Solver {
                     )
                 }
                 _ => unreachable!("pipeline algorithms only"),
+            };
+            match &cache_ctx {
+                Some(ctx) => ctx.solve_component(&ws, comp, core),
+                None => core(),
             }
         };
 
         if self.config.parallel && comps.len() > 1 {
-            // Sizing request for the shared pool; once the pool exists the
-            // running size wins by design, so the return value carries no
-            // action for a solve.
-            if let Some(n) = self.config.threads {
-                crate::executor::configure_threads(n);
-            }
-
-            // Cache-aware dispatch plan. Fingerprint every component up
-            // front (workers reuse the canonicalizations), then:
-            //  - duplicate fingerprints within this request collapse onto
-            //    one leader — followers re-consult the cache *after* their
-            //    leader solved and inserted, so each shape is solved once
-            //    and fanned out through the verified remap;
-            //  - leaders already present in the cache ("hot") dispatch
-            //    first, in component order: they are near-certain cheap
-            //    remaps and drain quickly;
-            //  - cold leaders and unfingerprintable components run
-            //    largest-first so the expensive solves start immediately
-            //    while small ones backfill idle workers.
-            // Without a cache every component is its own cold leader, so
-            // the plan degenerates to plain largest-first and the solved
-            // sets are identical to the sequential loop's.
-            let canonicals: Vec<Option<mc3_core::canon::Canonical>> = match &cache_ctx {
-                Some(ctx) => comps
-                    .iter()
-                    .map(|c| crate::cache::component_canonical(&ws, c, ctx.kp))
-                    .collect(),
-                None => comps.iter().map(|_| None).collect(),
-            };
-            let mut followers: Vec<Vec<usize>> = vec![Vec::new(); comps.len()];
-            let mut hot: Vec<usize> = Vec::new();
-            let mut cold: Vec<usize> = Vec::new();
-            {
-                let mut leader_of: mc3_core::FxHashMap<u128, usize> =
-                    mc3_core::FxHashMap::default();
-                for i in 0..comps.len() {
-                    let key = match (&cache_ctx, &canonicals[i]) {
-                        (Some(ctx), Some(c)) => Some(crate::cache::component_key(c, ctx.digest)),
-                        _ => None,
-                    };
-                    let Some(key) = key else {
-                        cold.push(i);
-                        continue;
-                    };
-                    match leader_of.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(leader) => {
-                            followers[*leader.get()].push(i);
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            slot.insert(i);
-                            let likely_hit = cache_ctx
-                                .as_ref()
-                                .is_some_and(|ctx| ctx.cache.contains(key));
-                            if likely_hit {
-                                hot.push(i);
-                            } else {
-                                cold.push(i);
-                            }
-                        }
-                    }
+            // Largest first, index-stable: the expensive solves start at
+            // once while small ones backfill idle workers. Each task owns
+            // its component's result slot, so the assembled solution is
+            // the sequential loop's whatever order the tasks finish in.
+            let mut slots: Vec<_> = comps.iter().map(|_| None).collect();
+            let mut tasks: Vec<_> = comps.iter().zip(slots.iter_mut()).collect();
+            tasks.sort_by_key(|(comp, _)| std::cmp::Reverse(comp.len()));
+            let solve_component = &solve_component;
+            // executor::scope waits for every spawned task and re-raises
+            // the first worker panic, so no join-error plumbing is needed.
+            crate::executor::scope(|scope| {
+                for (comp, slot) in tasks {
+                    scope.spawn(move || {
+                        *slot = Some(
+                            SCRATCH.with(|cell| solve_component(comp, &mut cell.borrow_mut())),
+                        );
+                    });
                 }
-            }
-            // Descending size, index-stable: deterministic dispatch order.
-            cold.sort_by_key(|&i| (usize::MAX - comps[i].len(), i));
-
-            let results: Vec<std::sync::Mutex<Option<Result<Vec<ClassifierId>>>>> =
-                comps.iter().map(|_| std::sync::Mutex::new(None)).collect();
-            {
-                let comps = &comps;
-                let canonicals = &canonicals;
-                let followers = &followers;
-                let cache_ctx = &cache_ctx;
-                let run_core = &run_core;
-                let results = &results;
-                let ws = &ws;
-                // executor::scope waits for every spawned task and re-raises
-                // the first worker panic, so no join-error plumbing is
-                // needed — same contract the std::thread::scope version had.
-                crate::executor::scope(|scope| {
-                    for &i in hot.iter().chain(cold.iter()) {
-                        scope.spawn(move || {
-                            SCRATCH.with(|cell| {
-                                let mut scratch = cell.borrow_mut();
-                                let mut solve_one = |i: usize| {
-                                    let comp: &[usize] = &comps[i];
-                                    let r = match (cache_ctx, &canonicals[i]) {
-                                        (Some(ctx), Some(canonical)) => ctx
-                                            .solve_component_canonical(ws, comp, canonical, || {
-                                                run_core(comp, &mut scratch)
-                                            }),
-                                        _ => run_core(comp, &mut scratch),
-                                    };
-                                    if let Ok(mut slot) = results[i].lock() {
-                                        *slot = Some(r);
-                                    }
-                                };
-                                solve_one(i);
-                                for &f in &followers[i] {
-                                    solve_one(f);
-                                }
-                            });
-                        });
-                    }
-                });
-            }
-            for cell in results {
-                let r = cell
-                    .into_inner()
-                    .map_err(|_| {
-                        mc3_core::Mc3Error::Internal("component worker poisoned its result".into())
-                    })?
-                    .ok_or_else(|| {
-                        mc3_core::Mc3Error::Internal("component result missing".into())
-                    })?;
+            });
+            for slot in slots {
+                let r = slot.ok_or_else(|| {
+                    mc3_core::Mc3Error::Internal("component result missing".into())
+                })?;
                 picked.extend(r?);
             }
         } else {
             let mut scratch = crate::reduction::ReductionScratch::new();
             for comp in &comps {
-                let r = match &cache_ctx {
-                    Some(ctx) => ctx.solve_component(&ws, comp, || run_core(comp, &mut scratch)),
-                    None => run_core(comp, &mut scratch),
-                };
-                picked.extend(r?);
+                picked.extend(solve_component(comp, &mut scratch)?);
             }
         }
 

@@ -9,7 +9,10 @@
 //!   `π`, solving `π(I)` against a cache warmed by `I` answers every
 //!   component from the cache (the canonical fingerprints agree) and
 //!   yields the cost of `solve(I)` with a remap-consistent, verifying
-//!   solution.
+//!   solution;
+//! * **one consult per component** — sequential and parallel solves,
+//!   cold and warm, each raise `hits + negative_hits + misses` by exactly
+//!   the number of components solved.
 
 use mc3_core::rng::prelude::*;
 use mc3_core::{Instance, PropId, PropSet, Weights};
@@ -278,4 +281,50 @@ fn prebuilt_inventory_bypasses_the_cache() {
         (0, 0, 0),
         "prebuilt solves must not touch the shared cache"
     );
+}
+
+/// The multi-component corpus of `executor_props.rs`: `comps`
+/// components on disjoint 5-property ranges, a few queries each.
+fn multi_component_instance(seed: u64, comps: u32, queries_per: usize) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x517C_C1B7).wrapping_add(3));
+    let mut queries = Vec::new();
+    for c in 0..comps {
+        let base = c * 5;
+        for _ in 0..queries_per {
+            let len = rng.gen_range(1..=3usize);
+            let mut q: Vec<u32> = (0..5u32).map(|p| base + p).collect();
+            q.shuffle(&mut rng);
+            q.truncate(len);
+            q.sort_unstable();
+            queries.push(q);
+        }
+    }
+    Instance::new(queries, Weights::seeded(seed, 1, 25)).expect("valid instance")
+}
+
+#[test]
+fn each_component_consults_the_cache_once() {
+    let consults = |cache: &SolveCache| {
+        let s = cache.stats();
+        s.hits + s.negative_hits + s.misses
+    };
+    for parallel in [false, true] {
+        for seed in 0..CASES {
+            let instance = multi_component_instance(seed, 2 + (seed % 5) as u32, 3);
+            let cache = Arc::new(SolveCache::with_capacity_mb(8));
+            for round in ["cold", "warm"] {
+                let before = consults(&cache);
+                let report = Mc3Solver::new()
+                    .parallel(parallel)
+                    .cache(Arc::clone(&cache))
+                    .solve_report(&instance)
+                    .expect("cached solve");
+                assert_eq!(
+                    consults(&cache) - before,
+                    report.components as u64,
+                    "seed {seed}, parallel {parallel}, {round}: one consult per component"
+                );
+            }
+        }
+    }
 }

@@ -6,10 +6,10 @@
 //!   multi-component instances, `parallel(true)` on the shared executor
 //!   selects exactly the classifiers of the sequential solve (the
 //!   determinism contract: results never depend on scheduling order);
-//! * **cache-aware scheduling is cost-transparent** — with a shared
-//!   `SolveCache` (hot-first dispatch + intra-request dedup active),
-//!   parallel re-solves reproduce the sequential cost with a verifying
-//!   cover;
+//! * **cached parallel solves are cost-transparent** — with a shared
+//!   `SolveCache` (each worker canonicalizes and consults the cache for
+//!   its own component), cold and warm parallel solves reproduce the
+//!   sequential cost with a verifying cover;
 //! * **steal-heavy stress** — an instance with hundreds of tiny
 //!   components drives the injector's batch-grab path; steals and tasks
 //!   must be observable and, once warm, solving must not spawn threads.
@@ -68,8 +68,8 @@ fn cache_aware_scheduling_preserves_sequential_cost() {
 
         let cache = Arc::new(SolveCache::with_capacity_mb(8));
         for round in 0..2 {
-            // Round 0 is all-cold (largest-first ordering); round 1
-            // dispatches every component down the hot path.
+            // Round 0 is all-cold; round 1 answers components from the
+            // warm cache through the verified remap.
             let par = Mc3Solver::new()
                 .parallel(true)
                 .cache(Arc::clone(&cache))
