@@ -152,7 +152,8 @@ pub enum Command {
     Serve {
         /// Listen address.
         addr: String,
-        /// Worker threads (0 = one per available core).
+        /// Cap on connections served at once, one thread each (0 = one
+        /// per available core, floor 8).
         workers: usize,
         /// Response-cache budget in MiB (0 disables caching, which is
         /// what `--no-cache` sets).
@@ -206,8 +207,9 @@ USAGE:
             --out <FILE|->
   mc3 compare <DATASET.json>
   mc3 serve [--addr <HOST:PORT>] [--workers <N>] [--solve-threads <N>]
-            [--cache-mb <MB>] [--no-cache]  (exact-body response cache,
-            default 16 MiB)
+            [--cache-mb <MB>] [--no-cache]  (--workers caps connections
+            served at once, default max(cores, 8); exact-body response
+            cache, default 16 MiB)
   mc3 loadgen [--addr <HOST:PORT>] [--duration <SECS>] [--concurrency <N>]
               [--mix <kind:queries:seed[:algo][xW],...>] [--slo p99=<MS>]
               [--batch <N>]

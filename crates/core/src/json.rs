@@ -258,11 +258,18 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document, requiring it to span the full input.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the bound keeps hostile input off the stack; the
+/// deepest document the workspace writes nests about a dozen levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document, requiring it to span the full input and to
+/// nest at most 128 arrays/objects deep.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -276,6 +283,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -320,12 +329,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -548,6 +571,18 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let n = MAX_DEPTH + 1;
+        let objects = format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! + headers + `Content-Length` bodies, keep-alive by default, no
 //! chunked transfer, no TLS.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
-/// Upper bound on one header section, bytes. A client that sends more is
-/// told 431 by the caller; here it is an error.
+/// Upper bound on one header section (request or status line included),
+/// bytes. Reading stops at the budget with an `InvalidData` error, and
+/// the server closes a connection whose request exceeds it.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Upper bound on a request/response body we are willing to buffer.
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
@@ -70,19 +71,26 @@ fn invalid(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Reads one line (without CRLF), enforcing the running header budget.
+/// Reads one line (without CRLF), buffering at most the running header
+/// budget: a line still unterminated when the budget is spent is an
+/// error, and so is end of input before the line's first byte.
 fn read_line(r: &mut impl BufRead, budget: &mut usize) -> std::io::Result<String> {
+    let over = || invalid("header section exceeds 16 KiB");
+    if *budget == 0 {
+        return Err(over());
+    }
     let mut line = String::new();
-    let n = r.read_line(&mut line)?;
+    let n = r.by_ref().take(*budget as u64).read_line(&mut line)?;
     if n == 0 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "connection closed mid-message",
         ));
     }
-    *budget = budget
-        .checked_sub(n)
-        .ok_or_else(|| invalid("header section exceeds 16 KiB"))?;
+    *budget -= n;
+    if *budget == 0 && !line.ends_with('\n') {
+        return Err(over());
+    }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
@@ -130,14 +138,12 @@ fn read_body(r: &mut impl BufRead, len: usize) -> std::io::Result<Vec<u8>> {
 /// Reads one request off a keep-alive connection. `Ok(None)` means the
 /// peer closed the connection cleanly between requests.
 pub fn read_request(r: &mut impl BufRead) -> std::io::Result<Option<Request>> {
-    let mut first = String::new();
-    if r.read_line(&mut first)? == 0 {
-        return Ok(None);
-    }
-    let mut budget = MAX_HEADER_BYTES.saturating_sub(first.len());
-    while first.ends_with('\n') || first.ends_with('\r') {
-        first.pop();
-    }
+    let mut budget = MAX_HEADER_BYTES;
+    let first = match read_line(r, &mut budget) {
+        Ok(line) => line,
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    };
     let mut parts = first.split_ascii_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) => (m.to_owned(), t.to_owned(), v),
@@ -266,6 +272,18 @@ mod tests {
         let mut cur = Cursor::new(&b"GET / SPDY/3\r\n\r\n"[..]);
         assert!(read_request(&mut cur).is_err());
         let raw = format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
+        let mut cur = Cursor::new(raw.into_bytes());
+        assert!(read_request(&mut cur).is_err());
+    }
+
+    #[test]
+    fn unterminated_request_line_stops_at_the_header_budget() {
+        let mut cur = Cursor::new(vec![b'G'; 32 * 1024]);
+        assert!(read_request(&mut cur).is_err());
+        assert_eq!(cur.position(), MAX_HEADER_BYTES as u64);
+        // A header section one byte over the budget fails the same way.
+        let pad = "x".repeat(MAX_HEADER_BYTES - "GET / HTTP/1.1\r\nh: \r\n\r\n".len() + 1);
+        let raw = format!("GET / HTTP/1.1\r\nh: {pad}\r\n\r\n");
         let mut cur = Cursor::new(raw.into_bytes());
         assert!(read_request(&mut cur).is_err());
     }

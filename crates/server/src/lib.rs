@@ -4,8 +4,9 @@
 //!
 //! Zero external dependencies, like the rest of the workspace: the HTTP
 //! layer is a hand-rolled HTTP/1.1 subset over `std::net::TcpListener`
-//! ([`http`]), requests run on a fixed [`pool`] of worker threads, and
-//! all timing goes through [`mc3_telemetry::monotonic_ns`].
+//! ([`http`]), each connection is served on its own thread (at most
+//! [`ServerConfig::workers`] at once), and all timing goes through
+//! [`mc3_telemetry::monotonic_ns`].
 //!
 //! * [`server`] — `mc3 serve`: `POST /solve` (dataset JSON in, solve
 //!   report + certificate out), `GET /metrics` (live Prometheus
@@ -27,7 +28,6 @@
 
 pub mod http;
 pub mod loadgen;
-pub mod pool;
 pub mod server;
 
 pub use loadgen::{run_loadgen, LoadReport, RouteStats};
@@ -42,8 +42,10 @@ pub const DEFAULT_CACHE_MB: usize = 16;
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:7920` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads; `0` = one per available core (floor 8, so the
-    /// default covers `mc3 loadgen --concurrency 8`).
+    /// Cap on connections served at once, one thread each; later
+    /// connections wait in the listen backlog until one closes. `0` = one
+    /// per available core (floor 8, so the default covers
+    /// `mc3 loadgen --concurrency 8`).
     pub workers: usize,
     /// Byte budget (MiB) of the exact-body response cache, charged for
     /// the rendered response bytes it keeps; `0` (`--no-cache`) disables

@@ -6,8 +6,10 @@
 //!
 //! The accept thread owns the **one** long-lived
 //! [`mc3_telemetry::Session`] (keeping the telemetry gate open for the
-//! server's lifetime) and hands each accepted connection to a worker.
-//! Per request, the worker:
+//! server's lifetime) and serves each accepted connection on its own
+//! scoped thread, at most `workers` at once: past the cap the accept loop
+//! stops accepting, so later clients wait in the listen backlog. Per
+//! request, the connection thread:
 //!
 //! 1. generates a request id and installs an
 //!    [`mc3_obs::request_id_scope`] so every event-log line the request
@@ -45,7 +47,6 @@
 //! traffic canonicalizing a component costs more than solving it.
 
 use crate::http::{encode_response, read_request, Request};
-use crate::pool::ThreadPool;
 use crate::ServerConfig;
 use mc3_core::json::Json;
 use mc3_core::{FxHashMap, StableHasher};
@@ -57,12 +58,12 @@ use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long a keep-alive connection may sit idle before the worker
-/// reclaims itself.
+/// How long a keep-alive connection may sit idle before its thread ends
+/// and frees the connection slot.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Fixed per-entry overhead charged by the request cache on top of the
@@ -203,8 +204,8 @@ impl ServerState {
         }
     }
 
-    /// Connections the accept loop had to answer 503 for because the
-    /// worker pool rejected them (shutdown in progress).
+    /// Connections the accept loop had to answer 503 for because the OS
+    /// refused a thread to serve them.
     pub fn requests_dropped(&self) -> u64 {
         // audit:allow(no-relaxed-atomics) reviewed: monotonic diagnostic counter
         self.requests_dropped.load(Ordering::Relaxed)
@@ -238,8 +239,8 @@ impl Server {
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
         let workers = if cfg.workers == 0 {
-            // Each live connection parks on a worker, so the floor must
-            // cover the loadgen default of 8 concurrent connections.
+            // Each live connection holds a slot, so the floor must cover
+            // the loadgen default of 8 concurrent connections.
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(8)
@@ -307,7 +308,7 @@ impl Server {
         }
     }
 
-    /// Stops the accept loop and joins it (workers drain first).
+    /// Stops the accept loop and joins it (connection threads first).
     pub fn shutdown(mut self) -> Result<(), String> {
         // audit:allow(no-relaxed-atomics) reviewed: SeqCst — the stop flag must be visible to the accept loop before the wake-up connection below
         self.stop.store(true, Ordering::SeqCst);
@@ -325,66 +326,114 @@ impl Server {
     }
 }
 
+/// Counting semaphore over the live connection threads.
+struct Slots {
+    free: Mutex<usize>,
+    freed: Condvar,
+}
+
+/// One taken slot; dropping it (also while unwinding) gives it back.
+struct Slot<'a>(&'a Slots);
+
+impl Slots {
+    /// Blocks until a slot is free and takes it.
+    fn acquire(&self) -> Slot<'_> {
+        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        while *free == 0 {
+            free = self
+                .freed
+                .wait(free)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *free -= 1;
+        Slot(self)
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        *self.0.free.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.freed.notify_one();
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     workers: usize,
-    state: &Arc<ServerState>,
-    stop: &Arc<AtomicBool>,
+    state: &ServerState,
+    stop: &AtomicBool,
 ) -> Result<(), String> {
-    let pool = match ThreadPool::new(workers) {
-        Ok(pool) => pool,
-        Err(e) => return Err(format!("cannot spawn server workers: {e}")),
+    let slots = Slots {
+        free: Mutex::new(workers),
+        freed: Condvar::new(),
     };
     // The server-lifetime telemetry session: opens the recording gate so
-    // worker-thread ScopedSessions capture real span trees. Finished (and
-    // discarded) only when the accept loop ends.
+    // connection-thread ScopedSessions capture real span trees. Finished
+    // (and discarded) only after every connection thread has joined.
     let session = mc3_telemetry::Session::begin();
-    let result = loop {
+    // Leaving the scope joins every connection thread.
+    let result = std::thread::scope(|scope| loop {
+        // Past the cap, wait for a slot before accepting: later clients
+        // queue in the kernel's listen backlog until one frees.
+        let slot = slots.acquire();
         let conn = listener.accept();
         // audit:allow(no-relaxed-atomics) reviewed: SeqCst pairs with the store in shutdown(); the wake-up connection happens-after it
         if stop.load(Ordering::SeqCst) {
             break Ok(());
         }
-        match conn {
-            Ok((stream, _)) => {
-                // Keep a write handle so a rejected connection gets an
-                // explicit 503 instead of hanging until its client times
-                // out; the pool only rejects while shutting down.
-                let reject_writer = stream.try_clone();
-                let conn_state = Arc::clone(state);
-                let accepted = pool.execute(move || serve_connection(stream, &conn_state));
-                if !accepted {
-                    // audit:allow(no-relaxed-atomics) reviewed: monotonic diagnostic counter
-                    state.requests_dropped.fetch_add(1, Ordering::Relaxed);
-                    state.metrics.observe(Route::Other, 503, 0);
+        let stream = match conn {
+            Ok((stream, _)) => stream,
+            Err(e) => break Err(format!("accept failed: {e}")),
+        };
+        // Keep a write handle so a connection the OS refuses a thread for
+        // gets an explicit 503 instead of hanging until its client times
+        // out.
+        let reject_writer = stream.try_clone();
+        let spawned = std::thread::Builder::new()
+            .name("mc3-serve-conn".to_owned())
+            .spawn_scoped(scope, move || {
+                let _slot = slot;
+                // A panicking handler must drop only its own connection:
+                // an uncaught panic would re-panic the whole scope.
+                let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    serve_connection(stream, state);
+                }));
+                if served.is_err() {
                     mc3_obs::warn(
                         "server",
-                        "connection rejected: worker pool unavailable",
+                        "request handler panicked; its connection was dropped",
                         &[],
                     );
-                    if let Ok(mut w) = reject_writer {
-                        let wire = encode_response(
-                            503,
-                            "application/json",
-                            b"{\"error\":\"server is shutting down\"}\n",
-                        );
-                        // audit:allow(no-swallowed-result) reviewed: best-effort courtesy response on a doomed connection
-                        let _ = w.write_all(&wire).and_then(|()| w.flush());
-                    }
                 }
+            });
+        if spawned.is_err() {
+            // audit:allow(no-relaxed-atomics) reviewed: monotonic diagnostic counter
+            state.requests_dropped.fetch_add(1, Ordering::Relaxed);
+            state.metrics.observe(Route::Other, 503, 0);
+            mc3_obs::warn(
+                "server",
+                "connection rejected: cannot spawn its thread",
+                &[],
+            );
+            if let Ok(mut w) = reject_writer {
+                let wire = encode_response(
+                    503,
+                    "application/json",
+                    b"{\"error\":\"cannot spawn a connection thread\"}\n",
+                );
+                // audit:allow(no-swallowed-result) reviewed: best-effort courtesy response on a doomed connection
+                let _ = w.write_all(&wire).and_then(|()| w.flush());
             }
-            Err(e) => break Err(format!("accept failed: {e}")),
         }
-    };
-    drop(pool); // join workers before closing the telemetry session
-                // The session-level report is deliberately unused: per-request trees
-                // already live in the aggregator, which is what /metrics serves.
+    });
+    // The session-level report is deliberately unused: per-request trees
+    // already live in the aggregator, which is what /metrics serves.
     session.finish();
     result
 }
 
 fn serve_connection(stream: TcpStream, state: &ServerState) {
-    // Without the read timeout an idle client would pin its worker
+    // Without the read timeout an idle client would hold its slot
     // forever, so a socket that cannot take one is not worth serving.
     if stream.set_read_timeout(Some(IDLE_TIMEOUT)).is_err() {
         return;
@@ -634,7 +683,7 @@ fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> Handler
 /// the HTTP status and message.
 ///
 /// Request-scoped tracing: the solve's span tree is captured on this
-/// worker thread and merged into the global aggregate. The solve runs
+/// connection thread and merged into the global aggregate. The solve runs
 /// `parallel(true)` on the shared executor — safe for the per-request
 /// scope because executor workers capture and discard their own span
 /// roots per task, so only this thread's `solve` tree lands here.

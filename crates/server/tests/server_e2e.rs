@@ -1,7 +1,8 @@
 //! End-to-end serving-plane test: boots a real server on a loopback
 //! port, exercises every route over real sockets, checks that `/metrics`
-//! moves monotonically, and runs the load generator (both passing and
-//! SLO-violating) against it.
+//! moves monotonically, runs the load generator (both passing and
+//! SLO-violating) against it, and checks that connections past the
+//! `workers` cap wait for a slot instead of being dropped.
 //!
 //! Everything lives in ONE `#[test]` because the server holds the
 //! process-exclusive telemetry session for its whole lifetime —
@@ -84,6 +85,13 @@ fn serving_plane_end_to_end() {
     assert!(body.contains("bad dataset"));
     let (status, _) = request(addr, "POST", "/solve?algorithm=wat", Some(b"{}"));
     assert_eq!(status, 400);
+    // Nesting far past the parser's depth bound is a 400, not a stack
+    // overflow that takes the process down.
+    let deep = vec![b'['; 200_000];
+    let (status, body) = request(addr, "POST", "/solve", Some(&deep));
+    assert_eq!(status, 400, "deep nesting: {body}");
+    let (status, _) = request(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
 
     // --- a real solve, with certificate ---
     let body_bytes = dataset_body(50, 7);
@@ -278,6 +286,32 @@ fn serving_plane_end_to_end() {
     })
     .expect_err("0ms SLO cannot pass");
     assert!(err.contains("loadgen: SLO FAIL"), "err: {err}");
+
+    // --- connections past the cap wait for a slot, then get served ---
+    // Three idle keep-alive connections hold all three slots.
+    let mut held: Vec<_> = (0..3)
+        .map(|_| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut reader = BufReader::new(stream);
+            mc3_server::http::write_request(&mut writer, "GET", "/healthz", None).expect("write");
+            let (status, _) = mc3_server::http::read_response(&mut reader).expect("read");
+            assert_eq!(status, 200);
+            reader
+        })
+        .collect();
+    let fourth = std::thread::spawn(move || request(addr, "GET", "/healthz", None));
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    assert!(
+        !fourth.is_finished(),
+        "a fourth connection was served while three held every slot"
+    );
+    drop(held.pop());
+    let (status, body) = fourth.join().expect("fourth client");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    drop(held);
+    let (_, m_cap) = request(addr, "GET", "/metrics", None);
+    assert_eq!(family_value(&m_cap, "mc3_requests_dropped_total"), 0);
 
     server.shutdown().expect("clean shutdown");
 }
